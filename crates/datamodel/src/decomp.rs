@@ -85,18 +85,30 @@ pub fn partition_extent(global: &Extent, dims: [usize; 3], rank: usize) -> Exten
 /// [`crate::GHOST_DUPLICATE`] on duplicated planes, 0 elsewhere. The
 /// non-ghost points of all blocks of a decomposition tile the global
 /// extent exactly once.
+///
+/// Built by filling whole runs: the shared lower z-plane, the shared
+/// lower y-row of every other plane, and the first point of every row
+/// when x is shared.
 pub fn duplicate_point_ghosts(local: &Extent, global: &Extent) -> Vec<u8> {
-    let shared: Vec<usize> = (0..3).filter(|&a| local.lo[a] > global.lo[a]).collect();
-    local
-        .iter_points()
-        .map(|p| {
-            if shared.iter().any(|&a| p[a] == local.lo[a]) {
-                crate::GHOST_DUPLICATE
-            } else {
-                0
+    let shared = |a: usize| local.lo[a] > global.lo[a];
+    let [nx, ny, nz] = local.point_dims();
+    let plane = nx * ny;
+    let mut flags = vec![0u8; plane * nz];
+    for (k, slab) in flags.chunks_exact_mut(plane).enumerate() {
+        if k == 0 && shared(2) {
+            slab.fill(crate::GHOST_DUPLICATE);
+            continue;
+        }
+        if shared(1) {
+            slab[..nx].fill(crate::GHOST_DUPLICATE);
+        }
+        if shared(0) {
+            for row in slab.chunks_exact_mut(nx) {
+                row[0] = crate::GHOST_DUPLICATE;
             }
-        })
-        .collect()
+        }
+    }
+    flags
 }
 
 /// The ready-to-insert [`crate::GHOST_ARRAY_NAME`] array for `local`

@@ -864,7 +864,10 @@ impl QueryServer {
                 continue;
             }
             let topic = reg.topic.clone();
-            bytes += response.to_json().len() as u64;
+            // The JSON rendering only feeds the byte counter.
+            if probe.is_enabled() {
+                bytes += response.to_json().len() as u64;
+            }
             s.broker.publish(&topic, response);
             published += 1;
         }

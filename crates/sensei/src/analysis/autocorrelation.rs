@@ -7,19 +7,22 @@
 //! profile the paper studies. At finalize, a global reduction finds the
 //! top-k correlations per delay; for periodic oscillators those peaks
 //! sit at the oscillator centers.
-
+//!
 //! Per-step updates *stream*: each leaf's values are read in place
-//! through zero-copy borrowed slices (no temporary vector), and cells —
-//! whose history/correlation state is disjoint — are chunked across
-//! intra-rank threads. Leaves that carry ghost flags, or whose arrays
-//! need type widening, fall back to serial streaming.
+//! through zero-copy borrowed slices (no temporary vector). Simulation
+//! and BP-decoded data always carry ghost flags, so every pipeline
+//! takes the serial ghost-flagged path; only ghost-free leaves (meshes
+//! built without a decomposition) chunk cells across intra-rank
+//! threads, and arrays that need type widening go through per-element
+//! getters. All three paths apply the same per-cell update with the
+//! lag→slot [`Rotation`] computed once per step.
 
 use minimpi::Comm;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 use crate::adaptor::{Association, DataAdaptor};
-use crate::analysis::{ghost_at, leaf_views, AnalysisAdaptor, LeafView, Steering};
+use crate::analysis::{leaf_views, AnalysisAdaptor, LeafView, Steering};
 use crate::exec;
 use datamodel::DataSet;
 
@@ -123,19 +126,83 @@ impl Autocorrelation {
         self.history = vec![0.0; self.cells * self.window];
         self.corr = vec![0.0; self.cells * self.window];
     }
+}
 
-    /// Serial-path update of one cell's circular history and running
-    /// correlations (the same arithmetic the chunked kernel applies).
-    fn update_cell(&mut self, cell: usize, v: f64, s: u64) {
-        let w = self.window as u64;
-        let base = cell * self.window;
-        let max_lag = s.min(w);
-        for lag in 1..=max_lag {
-            let past = self.history[base + ((s - lag) % w) as usize];
-            self.corr[base + (lag - 1) as usize] += v * past;
+/// The step's lag→history-slot table, shared by every cell. At step
+/// `s` with window `w`, lag `ℓ ∈ 1..=min(s, w)` reads slot
+/// `(s − ℓ) mod w` and the new value lands in slot `s mod w`. With
+/// `cur = s mod w` the table is two descending runs: lags `1..=cur`
+/// read slots `cur−1 ..= 0`, and lags `cur+1 ..= min(s, w)` read slots
+/// `w−1` downwards. `cur ≤ lags` always (`cur = lags = s` while `s < w`).
+#[derive(Clone, Copy)]
+struct Rotation {
+    w: usize,
+    cur: usize,
+    lags: usize,
+}
+
+impl Rotation {
+    fn at(s: u64, w: usize) -> Self {
+        Rotation {
+            w,
+            cur: (s % w as u64) as usize,
+            lags: s.min(w as u64) as usize,
         }
-        self.history[base + (s % w) as usize] = v;
     }
+
+    /// Fold `v` into one cell's `w`-long history and correlation
+    /// windows. Each `corr[lag − 1] += v * past` is one multiply-add,
+    /// so results match the `%`-indexed definition bitwise.
+    #[inline]
+    fn update(self, v: f64, history: &mut [f64], corr: &mut [f64]) {
+        let Rotation { w, cur, lags } = self;
+        let (near, far) = corr[..lags].split_at_mut(cur);
+        for (c, &past) in near.iter_mut().zip(history[..cur].iter().rev()) {
+            *c += v * past;
+        }
+        for (c, &past) in far.iter_mut().zip(history[w + cur - lags..].iter().rev()) {
+            *c += v * past;
+        }
+        history[cur] = v;
+    }
+
+    /// Apply [`Rotation::update`] to consecutive cells: the i-th value
+    /// updates the i-th `w`-window of `history` and `corr`. Returns the
+    /// number of cells updated.
+    fn update_cells(
+        self,
+        values: impl Iterator<Item = f64>,
+        history: &mut [f64],
+        corr: &mut [f64],
+    ) -> usize {
+        let mut n = 0;
+        for ((v, h), c) in values
+            .zip(history.chunks_exact_mut(self.w))
+            .zip(corr.chunks_exact_mut(self.w))
+        {
+            self.update(v, h, c);
+            n += 1;
+        }
+        n
+    }
+}
+
+/// A ghost-flagged leaf's non-ghost values, in tuple order.
+fn non_ghost<'a>(vals: &'a [f64], ghosts: &'a [u8]) -> impl Iterator<Item = f64> + 'a {
+    vals.iter()
+        .zip(ghosts)
+        .filter(|&(_, &g)| g == 0)
+        .map(|(&v, _)| v)
+}
+
+/// A type-erased leaf's non-ghost values, in tuple order.
+fn indirect_non_ghost<'a>(
+    attrs: &'a datamodel::Attributes,
+    arr: &'a datamodel::DataArray,
+) -> impl Iterator<Item = f64> + 'a {
+    (0..arr.num_tuples())
+        .filter(|&t| !attrs.is_ghost(t))
+        .map(|t| arr.get(t, 0))
 }
 
 /// Global id of a leaf's local point `t`: the global structured linear
@@ -188,12 +255,8 @@ impl AnalysisAdaptor for Autocorrelation {
             .iter()
             .map(|view| match view {
                 LeafView::Direct(vals, None) => vals.len(),
-                LeafView::Direct(vals, Some(gh)) => {
-                    (0..vals.len()).filter(|&t| !ghost_at(Some(gh), t)).count()
-                }
-                LeafView::Indirect(attrs, arr) => (0..arr.num_tuples())
-                    .filter(|&t| !attrs.is_ghost(t))
-                    .count(),
+                LeafView::Direct(vals, Some(gh)) => non_ghost(vals, gh).count(),
+                LeafView::Indirect(attrs, arr) => indirect_non_ghost(attrs, arr).count(),
             })
             .sum();
         if incoming == 0 {
@@ -207,52 +270,37 @@ impl AnalysisAdaptor for Autocorrelation {
             "autocorrelation: cell count changed mid-run"
         );
 
-        let s = self.steps_seen;
         let w = self.window;
+        let rot = Rotation::at(self.steps_seen, w);
         let mut offset = 0usize;
         for view in &views {
-            match view {
+            let hist = &mut self.history[offset * w..];
+            let corr = &mut self.corr[offset * w..];
+            offset += match view {
                 // Ghost-free zero-copy leaf: cells chunk across threads,
                 // each worker owning a disjoint window of both buffers.
                 LeafView::Direct(vals, None) => {
                     let m = vals.len();
-                    let hist = &mut self.history[offset * w..(offset + m) * w];
-                    let corr = &mut self.corr[offset * w..(offset + m) * w];
-                    exec::zip_chunks_mut(self.threads, m, hist, corr, |range, h, c| {
-                        for (li, cell) in range.enumerate() {
-                            let v = vals[cell];
-                            let base = li * w;
-                            let max_lag = s.min(w as u64);
-                            for lag in 1..=max_lag {
-                                let past = h[base + ((s - lag) % w as u64) as usize];
-                                c[base + (lag - 1) as usize] += v * past;
-                            }
-                            h[base + (s % w as u64) as usize] = v;
-                        }
-                    });
-                    offset += m;
+                    exec::zip_chunks_mut(
+                        self.threads,
+                        m,
+                        &mut hist[..m * w],
+                        &mut corr[..m * w],
+                        |range, h, c| {
+                            rot.update_cells(vals[range].iter().copied(), h, c);
+                        },
+                    );
+                    m
                 }
                 // Ghost-bearing leaf: serial streaming (the value→cell
                 // mapping is prefix-dependent), still no temporary.
                 LeafView::Direct(vals, Some(gh)) => {
-                    for (t, &v) in vals.iter().enumerate() {
-                        if ghost_at(Some(gh), t) {
-                            continue;
-                        }
-                        self.update_cell(offset, v, s);
-                        offset += 1;
-                    }
+                    rot.update_cells(non_ghost(vals, gh), hist, corr)
                 }
                 LeafView::Indirect(attrs, arr) => {
-                    for t in 0..arr.num_tuples() {
-                        if attrs.is_ghost(t) {
-                            continue;
-                        }
-                        self.update_cell(offset, arr.get(t, 0), s);
-                        offset += 1;
-                    }
+                    rot.update_cells(indirect_non_ghost(attrs, arr), hist, corr)
                 }
-            }
+            };
         }
         debug_assert_eq!(offset, self.cells);
         self.steps_seen += 1;

@@ -464,3 +464,200 @@ proptest! {
         prop_assert_eq!(ab.depth, ba.depth);
     }
 }
+
+/// The per-point definition of the duplicate-ghost flags: a point is a
+/// ghost when it lies on the lower plane of an axis the block shares
+/// with a lower neighbour.
+fn ghost_flags_oracle(local: &Extent, global: &Extent) -> Vec<u8> {
+    let shared: Vec<usize> = (0..3).filter(|&a| local.lo[a] > global.lo[a]).collect();
+    local
+        .iter_points()
+        .map(|p| {
+            if shared.iter().any(|&a| p[a] == local.lo[a]) {
+                datamodel::GHOST_DUPLICATE
+            } else {
+                0
+            }
+        })
+        .collect()
+}
+
+/// xorshift64 stream for deterministic per-step field values.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut x = seed | 1;
+    move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The row-fill duplicate-ghost flags equal the per-point
+    /// definition for every rank of every near-cubic decomposition.
+    #[test]
+    fn duplicate_point_ghosts_matches_per_point_oracle(
+        dims in proptest::array::uniform3(1usize..41),
+        p in 1usize..28,
+    ) {
+        let global = Extent::whole(dims);
+        let grid = dims_create(p);
+        let cells = global.cell_dims();
+        prop_assume!((0..3).all(|a| grid[a] <= cells[a].max(1)));
+        for rank in 0..p {
+            let local = partition_extent(&global, grid, rank);
+            prop_assert_eq!(
+                datamodel::duplicate_point_ghosts(&local, &global),
+                ghost_flags_oracle(&local, &global),
+                "dims {:?}, p {}, rank {}",
+                dims,
+                p,
+                rank
+            );
+        }
+    }
+
+    /// The rotated per-step autocorrelation update equals the
+    /// `%`-indexed definition bitwise on multi-leaf data mixing all
+    /// three update paths (ghost-flagged f64, ghost-free f64, and
+    /// ghost-flagged f32 read through widening getters), across the
+    /// partial-lag boundary and at every thread count.
+    #[test]
+    fn autocorrelation_update_matches_modulo_oracle_bitwise(
+        leaf_specs in proptest::collection::vec(
+            (proptest::array::uniform3(1usize..5), 0u8..3, any::<u64>()),
+            1..5,
+        ),
+        window in 1usize..13,
+        steps_sel in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        use datamodel::{DataSet, ImageData, MultiBlock, GHOST_ARRAY_NAME};
+        use sensei::analysis::autocorrelation::Autocorrelation;
+        use sensei::analysis::AnalysisAdaptor as _;
+        let steps = steps_sel % (3 * window as u64);
+        // Leaves stacked along z inside one global extent, so every
+        // point has a distinct global id.
+        let mut extents = Vec::new();
+        let mut z = 0i64;
+        for &(d, _, _) in &leaf_specs {
+            extents.push(Extent::new(
+                [0, 0, z],
+                [d[0] as i64 - 1, d[1] as i64 - 1, z + d[2] as i64 - 1],
+            ));
+            z += d[2] as i64;
+        }
+        let global = Extent::new([0, 0, 0], [3, 3, z - 1]);
+        let ghosts: Vec<Option<Vec<u8>>> = leaf_specs
+            .iter()
+            .zip(&extents)
+            .map(|(&(_, kind, gseed), e)| {
+                let mut next = xorshift(gseed);
+                (kind != 1).then(|| (0..e.num_points()).map(|_| next().is_multiple_of(3) as u8).collect())
+            })
+            .collect();
+        // Step `s`'s values per leaf, exactly as the analysis reads them.
+        let values = |s: u64| -> Vec<Vec<f64>> {
+            let mut next = xorshift(seed ^ s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            extents
+                .iter()
+                .zip(&leaf_specs)
+                .map(|(e, &(_, kind, _))| {
+                    (0..e.num_points())
+                        .map(|_| {
+                            let v = (next() % 2_000_001) as f64 / 1000.0 - 1000.0;
+                            if kind == 2 { v as f32 as f64 } else { v }
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let mesh_at = |s: u64| {
+            let mut mb = MultiBlock::new();
+            for (((e, &(_, kind, _)), gh), vals) in
+                extents.iter().zip(&leaf_specs).zip(&ghosts).zip(values(s))
+            {
+                let mut g = ImageData::new(*e, global);
+                if kind == 2 {
+                    let narrow: Vec<f32> = vals.iter().map(|&v| v as f32).collect();
+                    g.add_point_array(DataArray::owned("data", 1, narrow));
+                } else {
+                    g.add_point_array(DataArray::owned("data", 1, vals));
+                }
+                if let Some(gh) = gh {
+                    g.add_point_array(DataArray::owned(GHOST_ARRAY_NAME, 1, gh.clone()));
+                }
+                mb.push(DataSet::Image(g));
+            }
+            sensei::InMemoryAdaptor::new(DataSet::Multi(mb), s as f64, s)
+        };
+
+        // Oracle: per non-ghost cell, `%`-indexed history and correlations.
+        let mut ids = Vec::new();
+        for (e, gh) in extents.iter().zip(&ghosts) {
+            for t in 0..e.num_points() {
+                if gh.as_ref().is_none_or(|g| g[t] == 0) {
+                    ids.push(global.linear_index(e.point_at(t)) as u64);
+                }
+            }
+        }
+        let cells = ids.len();
+        let w = window as u64;
+        let mut hist = vec![0.0f64; cells * window];
+        let mut corr = vec![0.0f64; cells * window];
+        for s in 0..steps {
+            let vals = values(s);
+            let mut cell = 0;
+            for (leaf, gh) in vals.iter().zip(&ghosts) {
+                for (t, &v) in leaf.iter().enumerate() {
+                    if gh.as_ref().is_some_and(|g| g[t] != 0) {
+                        continue;
+                    }
+                    let base = cell * window;
+                    for lag in 1..=s.min(w) {
+                        let past = hist[base + ((s - lag) % w) as usize];
+                        corr[base + (lag - 1) as usize] += v * past;
+                    }
+                    hist[base + (s % w) as usize] = v;
+                    cell += 1;
+                }
+            }
+        }
+        let expect: Vec<Vec<(u64, u64)>> = (0..window)
+            .map(|lag| {
+                let mut col: Vec<(u64, u64)> = if steps == 0 {
+                    Vec::new()
+                } else {
+                    (0..cells).map(|c| (ids[c], corr[c * window + lag].to_bits())).collect()
+                };
+                col.sort_unstable();
+                col
+            })
+            .collect();
+
+        for threads in [1usize, 2, 0] {
+            let adaptors: Vec<_> = (0..steps).map(mesh_at).collect();
+            let got = minimpi::World::run(1, move |comm| {
+                let mut ac = Autocorrelation::new("data", window, cells.max(1)).with_threads(threads);
+                let res = ac.results_handle();
+                for a in &adaptors {
+                    ac.execute(a, comm);
+                }
+                ac.finalize(comm);
+                let out = res.lock().clone();
+                out
+            });
+            let result = got[0].clone().expect("rank 0 holds the result");
+            prop_assert_eq!(result.len(), window);
+            for (lag, peaks) in result.iter().enumerate() {
+                let mut col: Vec<(u64, u64)> =
+                    peaks.iter().map(|p| (p.cell, p.value.to_bits())).collect();
+                col.sort_unstable();
+                prop_assert_eq!(&col, &expect[lag], "threads {}, lag {}", threads, lag + 1);
+            }
+        }
+    }
+}
