@@ -1,10 +1,14 @@
 //! Golden-image regression test for the distributed render pipeline:
 //! a seeded oscillator run renders one pseudocolor slice and one shaded
 //! isosurface, and the framebuffer digests must match the checked-in
-//! goldens in `tests/golden/render_digests.json`.
+//! goldens in `tests/golden/render_digests.json`. The same file pins the
+//! bytes of each image's PNG encoding (`Mode::Fixed`), so an encoder
+//! change must stay byte-identical.
 //!
-//! A digest mismatch means a rendering change — rasterization,
-//! colormap, compositing, or the simulation field itself. When the
+//! A framebuffer digest mismatch means a rendering change —
+//! rasterization, colormap, compositing, or the simulation field itself.
+//! A PNG digest mismatch with matching framebuffers means the PNG or
+//! DEFLATE encoder changed its output. When the
 //! change is intentional, regenerate the goldens with
 //! `scripts/regen_golden_render.sh` (equivalently
 //! `GOLDEN_REGEN=1 cargo test --test golden_render`) and commit the
@@ -13,10 +17,12 @@
 use minimpi::{SchedPolicy, WorldBuilder};
 use oscillator::{demo_oscillators, osc::format_deck, SimConfig, Simulation};
 use render::camera::Camera;
-use render::color::Colormap;
+use render::color::{Color, Colormap};
 use render::composite::Compositor;
+use render::deflate::Mode;
 use render::framebuffer::Framebuffer;
 use render::pipeline::{pseudocolor_slice, shaded_isosurface, IsosurfaceRender, SliceRender};
+use render::png::encode_framebuffer;
 
 const GRID: [usize; 3] = [17, 17, 17];
 
@@ -47,9 +53,20 @@ fn framebuffer_digest(fb: &Framebuffer) -> u64 {
     fnv1a(&bytes)
 }
 
+/// Rank 0's digests of the golden renders.
+#[derive(Debug, PartialEq)]
+struct Digests {
+    slice: u64,
+    isosurface: u64,
+    /// The slice encoded as a PNG over white, as Catalyst writes it.
+    slice_png: u64,
+    /// The isosurface encoded as a PNG over black, as Libsim writes it.
+    isosurface_png: u64,
+}
+
 /// Render the golden oscillator deck at 4 ranks under a fixed schedule
-/// seed; return rank 0's (slice digest, isosurface digest).
-fn render_goldens() -> (u64, u64) {
+/// seed; return rank 0's digests.
+fn render_goldens() -> Digests {
     let d = format_deck(&demo_oscillators());
     let out = WorldBuilder::new(4)
         .sched(SchedPolicy::Seeded(11))
@@ -117,7 +134,12 @@ fn render_goldens() -> (u64, u64) {
                 (Some(s), Some(i)) => {
                     assert_eq!(s.covered_pixels(), 96 * 72, "slice plane fully painted");
                     assert!(i.covered_pixels() > 0, "isosurface rendered something");
-                    Some((framebuffer_digest(&s), framebuffer_digest(&i)))
+                    Some(Digests {
+                        slice: framebuffer_digest(&s),
+                        isosurface: framebuffer_digest(&i),
+                        slice_png: fnv1a(&encode_framebuffer(&s, Color::WHITE, Mode::Fixed)),
+                        isosurface_png: fnv1a(&encode_framebuffer(&i, Color::BLACK, Mode::Fixed)),
+                    })
                 }
                 _ => None,
             }
@@ -141,13 +163,17 @@ fn parse_digest(json: &str, key: &str) -> u64 {
 
 #[test]
 fn rendered_images_match_checked_in_digests() {
-    let (slice, iso) = render_goldens();
+    let d = render_goldens();
     let path = digest_path();
     if std::env::var("GOLDEN_REGEN").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(
             &path,
-            format!("{{\n  \"slice\": \"{slice:016x}\",\n  \"isosurface\": \"{iso:016x}\"\n}}\n"),
+            format!(
+                "{{\n  \"slice\": \"{:016x}\",\n  \"isosurface\": \"{:016x}\",\n  \
+                 \"slice_png\": \"{:016x}\",\n  \"isosurface_png\": \"{:016x}\"\n}}\n",
+                d.slice, d.isosurface, d.slice_png, d.isosurface_png
+            ),
         )
         .unwrap();
         eprintln!("regenerated {}", path.display());
@@ -159,16 +185,22 @@ fn rendered_images_match_checked_in_digests() {
             path.display()
         )
     });
-    assert_eq!(
-        slice,
-        parse_digest(&json, "slice"),
-        "slice render changed; if intentional, run scripts/regen_golden_render.sh"
-    );
-    assert_eq!(
-        iso,
-        parse_digest(&json, "isosurface"),
-        "isosurface render changed; if intentional, run scripts/regen_golden_render.sh"
-    );
+    for (key, got, what) in [
+        ("slice", d.slice, "slice render"),
+        ("isosurface", d.isosurface, "isosurface render"),
+        ("slice_png", d.slice_png, "slice PNG encoding"),
+        (
+            "isosurface_png",
+            d.isosurface_png,
+            "isosurface PNG encoding",
+        ),
+    ] {
+        assert_eq!(
+            got,
+            parse_digest(&json, key),
+            "{what} changed; if intentional, run scripts/regen_golden_render.sh"
+        );
+    }
 }
 
 /// The golden render itself is reproducible: two seeded runs digest
