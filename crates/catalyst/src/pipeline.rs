@@ -1,6 +1,7 @@
 //! The Catalyst slice pipeline and its SENSEI analysis adaptor.
 
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -96,12 +97,9 @@ impl CatalystSliceAnalysis {
         self.images_written
     }
 
-    /// Pull `(local extent, global extent, values)` for a structured
-    /// leaf dataset carrying the configured array.
-    fn structured_field(
-        &mut self,
-        data: &dyn DataAdaptor,
-    ) -> Option<(datamodel::Extent, datamodel::Extent, Vec<f64>)> {
+    /// The adaptor's mesh with the configured array attached, or `None`
+    /// (reported once) when the simulation cannot provide it.
+    fn mesh_with_array(&mut self, data: &dyn DataAdaptor) -> Option<DataSet> {
         let mut mesh = data.mesh();
         if let Err(err) = data.add_array(&mut mesh, Association::Point, &self.pipeline.array) {
             if !self.reported_missing {
@@ -110,10 +108,17 @@ impl CatalystSliceAnalysis {
             }
             return None;
         }
-        // Sanitizer: the views staged below are zero-copy borrows of
-        // the simulation's arrays; hold a publish window for the
-        // duration of the marshal.
-        let _publish = datamodel::publish_dataset(&mesh, "catalyst");
+        Some(mesh)
+    }
+
+    /// `(local extent, global extent, values)` of the configured array on
+    /// the first structured leaf of `mesh`. An `f64` array is borrowed,
+    /// not copied, so the caller must hold a publish window on `mesh`
+    /// while it reads the values.
+    fn structured_field<'m>(
+        &mut self,
+        mesh: &'m DataSet,
+    ) -> Option<(datamodel::Extent, datamodel::Extent, Cow<'m, [f64]>)> {
         for leaf in mesh.leaves() {
             let (local, global, attrs) = match leaf {
                 DataSet::Image(g) => (g.extent, g.global_extent, &g.point_data),
@@ -125,7 +130,7 @@ impl CatalystSliceAnalysis {
             };
             // Space-checked read: a device-resident array reaching a
             // host-side render surfaces as a failure, not a quiet copy.
-            let values = match arr.values_in(0, datamodel::current_space()) {
+            let values = match arr.values_view_in(0, datamodel::current_space()) {
                 Ok(v) => v,
                 Err(err) => {
                     self.failures.push(format!("catalyst-slice: {err}"));
@@ -147,7 +152,15 @@ impl AnalysisAdaptor for CatalystSliceAnalysis {
         if !data.step().is_multiple_of(self.pipeline.frequency) {
             return Steering::Continue;
         }
-        let Some((local, global, values)) = self.structured_field(data) else {
+        let mesh = self.mesh_with_array(data);
+        // Sanitizer: the values rendered below are zero-copy borrows of
+        // the simulation's arrays; hold a publish window until the render
+        // is done with them.
+        let _publish = mesh
+            .as_ref()
+            .map(|m| datamodel::publish_dataset(m, "catalyst"));
+        let Some((local, global, values)) = mesh.as_ref().and_then(|m| self.structured_field(m))
+        else {
             // Still participate in the collective render with an empty
             // block so other ranks don't hang.
             let cfg = self.render_config();
@@ -202,19 +215,70 @@ fn global_of(data: &dyn DataAdaptor) -> datamodel::Extent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datamodel::{partition_extent, DataArray, Extent, ImageData};
+    use datamodel::{partition_extent, DataArray, Extent, ImageData, MemorySpace};
     use minimpi::World;
     use render::png::decode_rgb;
     use sensei::{Bridge, InMemoryAdaptor};
 
     fn adaptor(comm: &Comm, step: u64) -> InMemoryAdaptor {
+        adaptor_with(comm, step, |vals| DataArray::owned("data", 1, vals))
+    }
+
+    /// The test field `x + y`, wrapped into a point array by `array`.
+    fn adaptor_with(
+        comm: &Comm,
+        step: u64,
+        array: impl FnOnce(Vec<f64>) -> DataArray,
+    ) -> InMemoryAdaptor {
         let global = Extent::whole([9, 9, 9]);
         let dims = datamodel::dims_create(comm.size());
         let local = partition_extent(&global, dims, comm.rank());
         let mut g = ImageData::new(local, global);
         let vals: Vec<f64> = local.iter_points().map(|p| (p[0] + p[1]) as f64).collect();
-        g.add_point_array(DataArray::owned("data", 1, vals));
+        g.add_point_array(array(vals));
         InMemoryAdaptor::new(DataSet::Image(g), step as f64, step)
+    }
+
+    /// Rank 0's PNG of step 0 rendered from the field built by `array`.
+    fn render_with(comm: &Comm, array: impl FnOnce(Vec<f64>) -> DataArray) -> Option<Vec<u8>> {
+        let mut pipe = SlicePipeline::new("data", 2, 4);
+        pipe.width = 24;
+        pipe.height = 24;
+        let mut analysis = CatalystSliceAnalysis::new(pipe);
+        analysis.execute(&adaptor_with(comm, 0, array), comm);
+        assert!(analysis.take_failures().is_empty());
+        let png = analysis.png_handle().lock().clone();
+        png
+    }
+
+    #[test]
+    fn non_f64_arrays_render_like_f64() {
+        World::run(2, |comm| {
+            let f64_png = render_with(comm, |v| DataArray::owned("data", 1, v));
+            let f32_png = render_with(comm, |v| {
+                DataArray::owned("data", 1, v.iter().map(|&x| x as f32).collect())
+            });
+            assert_eq!(f64_png, f32_png, "small integers are exact in f32");
+            assert_eq!(f64_png.is_some(), comm.rank() == 0);
+        });
+    }
+
+    #[test]
+    fn device_resident_field_is_reported_not_rendered() {
+        World::run(2, |comm| {
+            let mut pipe = SlicePipeline::new("data", 2, 4);
+            pipe.width = 16;
+            pipe.height = 16;
+            let mut analysis = CatalystSliceAnalysis::new(pipe);
+            let data = adaptor_with(comm, 0, |v| {
+                DataArray::owned("data", 1, v).with_space(MemorySpace::DeviceSim(0))
+            });
+            analysis.execute(&data, comm);
+            let failures = analysis.take_failures();
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(failures[0].contains("lives in"), "{}", failures[0]);
+            assert!(analysis.png_handle().lock().is_none());
+        });
     }
 
     #[test]

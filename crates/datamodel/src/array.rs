@@ -2,6 +2,7 @@
 //! AoS/SoA layout support — the heart of the paper's "enhanced VTK data
 //! model" (§3.2).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::space::{self, AccessError, MemorySpace};
@@ -496,6 +497,23 @@ impl DataArray {
             .collect())
     }
 
+    /// Space-checked read of one whole component as `f64`, for code
+    /// executing in `exec`: borrowed when the component is one
+    /// contiguous `f64` buffer (a simulation's zero-copy field), widened
+    /// into a copy by [`DataArray::values_in`] otherwise. Wrong-space
+    /// access is an error either way, never a quiet copy.
+    pub fn values_view_in(
+        &self,
+        comp: usize,
+        exec: MemorySpace,
+    ) -> Result<Cow<'_, [f64]>, AccessError> {
+        match self.component_slice_in::<f64>(comp, exec) {
+            Ok(view) => Ok(Cow::Borrowed(view)),
+            Err(err @ AccessError::WrongSpace { .. }) => Err(err),
+            Err(_) => self.values_in(comp, exec).map(Cow::Owned),
+        }
+    }
+
     /// The runtime scalar type.
     pub fn scalar_type(&self) -> ScalarType {
         match &self.storage {
@@ -821,6 +839,28 @@ mod tests {
         assert!(a
             .component_slice_in::<f64>(0, MemorySpace::DeviceSim(0))
             .is_err());
+    }
+
+    #[test]
+    fn values_view_borrows_f64_and_widens_the_rest() {
+        let f = DataArray::owned("f", 1, vec![1.0f64, 2.0]);
+        let view = f.values_view_in(0, MemorySpace::Host).unwrap();
+        assert!(matches!(view, Cow::Borrowed(_)));
+        assert_eq!(&view[..], &[1.0, 2.0]);
+        let i = DataArray::owned("i", 1, vec![3i32, 4]);
+        let view = i.values_view_in(0, MemorySpace::Host).unwrap();
+        assert!(matches!(view, Cow::Owned(_)));
+        assert_eq!(&view[..], &[3.0, 4.0]);
+        // Component 1 of an interleaved array has no contiguous view.
+        let v = DataArray::owned("v", 2, vec![1.0f64, 2.0, 3.0, 4.0]);
+        assert_eq!(
+            &v.values_view_in(1, MemorySpace::Host).unwrap()[..],
+            &[2.0, 4.0]
+        );
+        assert!(matches!(
+            f.values_view_in(0, MemorySpace::DeviceSim(0)),
+            Err(AccessError::WrongSpace { .. })
+        ));
     }
 
     #[test]

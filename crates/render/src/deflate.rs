@@ -10,6 +10,17 @@
 //! The PHASTA study (Table 2) traced its per-step in situ cost to this
 //! exact computation — serial zlib compression of the rendered PNG on
 //! rank 0 — so the reproduction needs a real, measurable compressor.
+//!
+//! `Fixed` is one streaming pass: the matcher emits each literal or
+//! match straight into a bit writer that flushes 32 bits at a time, with
+//! no token buffer. Hash chains live in a 32 Ki-entry ring indexed by
+//! `pos & (WINDOW - 1)` instead of a per-position array, match lengths
+//! are compared 8 bytes at a time, and the fixed Huffman codes come from
+//! compile-time tables already bit-reversed for LSB-first output. The
+//! matcher's choices (hash, chain order and depth, window, tie-breaking,
+//! insertion of every position) are fixed by contract, so the output is
+//! byte-identical to the plain token-buffer encoder kept as the test
+//! oracle below.
 
 /// Compression mode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -24,54 +35,49 @@ pub enum Mode {
 // Bit I/O (LSB-first, per RFC 1951)
 // --------------------------------------------------------------------
 
-struct BitWriter {
-    out: Vec<u8>,
+/// LSB-first bit writer appending to `out`, flushing 32 bits at a time.
+struct BitWriter<'a> {
+    out: &'a mut Vec<u8>,
     bitbuf: u64,
     nbits: u32,
 }
 
-impl BitWriter {
-    fn new() -> Self {
+impl<'a> BitWriter<'a> {
+    fn new(out: &'a mut Vec<u8>) -> Self {
         BitWriter {
-            out: Vec::new(),
+            out,
             bitbuf: 0,
             nbits: 0,
         }
     }
 
-    /// Write `n` bits, LSB-first.
+    /// Write the low `n` bits of `value` (higher bits must be zero),
+    /// LSB-first.
+    #[inline]
     fn bits(&mut self, value: u32, n: u32) {
-        debug_assert!(n <= 32);
+        debug_assert!(n <= 32 && (n == 32 || value >> n == 0));
         self.bitbuf |= (value as u64) << self.nbits;
         self.nbits += n;
-        while self.nbits >= 8 {
+        if self.nbits >= 32 {
+            self.out
+                .extend_from_slice(&(self.bitbuf as u32).to_le_bytes());
+            self.bitbuf >>= 32;
+            self.nbits -= 32;
+        }
+    }
+
+    /// Flush every pending bit, zero-padding to a byte boundary.
+    fn align(&mut self) {
+        while self.nbits > 0 {
             self.out.push((self.bitbuf & 0xFF) as u8);
             self.bitbuf >>= 8;
-            self.nbits -= 8;
+            self.nbits = self.nbits.saturating_sub(8);
         }
+        self.bitbuf = 0;
     }
 
-    /// Write a Huffman code: codes are emitted MSB-first.
-    fn code(&mut self, code: u32, len: u32) {
-        let mut rev = 0u32;
-        for i in 0..len {
-            rev |= ((code >> i) & 1) << (len - 1 - i);
-        }
-        self.bits(rev, len);
-    }
-
-    /// Pad to a byte boundary.
-    fn align(&mut self) {
-        if self.nbits > 0 {
-            self.out.push((self.bitbuf & 0xFF) as u8);
-            self.bitbuf = 0;
-            self.nbits = 0;
-        }
-    }
-
-    fn finish(mut self) -> Vec<u8> {
+    fn finish(mut self) {
         self.align();
-        self.out
     }
 }
 
@@ -127,13 +133,13 @@ impl<'a> BitReader<'a> {
 // --------------------------------------------------------------------
 
 /// `(code, length)` for literal/length symbol `s` under the fixed code.
-fn fixed_litlen_code(s: usize) -> (u32, u32) {
+const fn fixed_litlen_code(s: usize) -> (u32, u32) {
     match s {
         0..=143 => (0x30 + s as u32, 8),
         144..=255 => (0x190 + (s - 144) as u32, 9),
         256..=279 => ((s - 256) as u32, 7),
         280..=287 => (0xC0 + (s - 280) as u32, 8),
-        _ => unreachable!("symbol out of range"),
+        _ => panic!("symbol out of range"),
     }
 }
 
@@ -204,27 +210,97 @@ const DIST_TABLE: [(u32, u32, u32); 30] = [
     (29, 13, 24577),
 ];
 
-fn length_symbol(len: u32) -> (u32, u32, u32) {
-    debug_assert!((3..=258).contains(&len));
-    for i in (0..LENGTH_TABLE.len()).rev() {
-        let (sym, extra, base) = LENGTH_TABLE[i];
-        if len >= base && (len - base) < (1 << extra) || (sym == 285 && len == 258) {
-            return (sym, extra, len - base);
-        }
+/// `code` (`len` bits, MSB-first as Huffman codes are defined) with its
+/// bits reversed, ready for the LSB-first bit writer.
+const fn reverse_bits(code: u32, len: u32) -> u32 {
+    let mut rev = 0;
+    let mut i = 0;
+    while i < len {
+        rev |= ((code >> i) & 1) << (len - 1 - i);
+        i += 1;
     }
-    unreachable!("length {len} not in table")
+    rev
 }
 
-fn dist_symbol(dist: u32) -> (u32, u32, u32) {
-    debug_assert!((1..=32768).contains(&dist));
-    for i in (0..DIST_TABLE.len()).rev() {
-        let (sym, extra, base) = DIST_TABLE[i];
-        if dist >= base {
-            return (sym, extra, dist - base);
-        }
+/// Bit-reversed fixed code `(bits, count)` of each literal/length symbol.
+static LITLEN_CODES: [(u32, u32); 288] = {
+    let mut t = [(0, 0); 288];
+    let mut s = 0;
+    while s < 288 {
+        let (code, len) = fixed_litlen_code(s);
+        t[s] = (reverse_bits(code, len), len);
+        s += 1;
     }
-    unreachable!("distance {dist} not in table")
+    t
+};
+
+/// Index into [`LENGTH_TABLE`] of match length `len` (3..=258). Later
+/// rows win, so 258 takes symbol 285 rather than 284's top extra value.
+const fn length_index(len: usize) -> usize {
+    let mut i = LENGTH_TABLE.len() - 1;
+    loop {
+        let (_, extra, base) = LENGTH_TABLE[i];
+        if len >= base as usize && len - (base as usize) < (1 << extra) {
+            return i;
+        }
+        i -= 1;
+    }
 }
+
+/// Match length `len` (3..=258) → `(bits, count)`: the bit-reversed
+/// length code followed by its extra bits, as one LSB-first field.
+static LEN_CODES: [(u32, u32); MAX_MATCH + 1] = {
+    let mut t = [(0, 0); MAX_MATCH + 1];
+    let mut len = MIN_MATCH;
+    while len <= MAX_MATCH {
+        let (sym, extra, base) = LENGTH_TABLE[length_index(len)];
+        let (code, clen) = LITLEN_CODES[sym as usize];
+        t[len] = (code | ((len as u32 - base) << clen), clen + extra);
+        len += 1;
+    }
+    t
+};
+
+/// zlib-style distance-symbol lookup: entry `d - 1` for distances up to
+/// 256, entry `256 + ((d - 1) >> 7)` above (every symbol from 16 up
+/// spans a multiple of 128 distances).
+static DIST_SYM: [u8; 512] = {
+    let mut t = [0u8; 512];
+    let mut sym = 0;
+    while sym < DIST_TABLE.len() {
+        let (_, extra, base) = DIST_TABLE[sym];
+        let mut d = base as usize;
+        while d < base as usize + (1 << extra) {
+            if d <= 256 {
+                t[d - 1] = sym as u8;
+            } else {
+                t[256 + ((d - 1) >> 7)] = sym as u8;
+            }
+            d += 1;
+        }
+        sym += 1;
+    }
+    t
+};
+
+/// Symbol of match distance `dist` (1..=32768), via [`DIST_SYM`].
+#[inline]
+fn dist_index(dist: usize) -> usize {
+    let d = dist - 1;
+    DIST_SYM[if d < 256 { d } else { 256 + (d >> 7) }] as usize
+}
+
+/// Per distance symbol: `(bit-reversed 5-bit code, extra bits, base)`.
+static DIST_CODES: [(u32, u32, u32); 30] = {
+    let mut t = [(0, 0, 0); 30];
+    let mut sym = 0;
+    while sym < 30 {
+        let (_, extra, base) = DIST_TABLE[sym];
+        t[sym] = (reverse_bits(sym as u32, 5), extra, base);
+        sym += 1;
+    }
+    t
+};
 
 // --------------------------------------------------------------------
 // LZ77
@@ -242,67 +318,29 @@ fn hash3(data: &[u8], i: usize) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
-/// One LZ77 token.
-enum Token {
-    Literal(u8),
-    Match { len: u32, dist: u32 },
-}
+/// Empty hash-chain slot.
+const NIL: u32 = u32::MAX;
 
-fn lz77(data: &[u8]) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; data.len()];
-    let mut i = 0;
-    while i < data.len() {
-        let mut best_len = 0usize;
-        let mut best_dist = 0usize;
-        if i + MIN_MATCH <= data.len() {
-            let h = hash3(data, i);
-            let mut cand = head[h];
-            let mut chain = 0;
-            while cand != usize::MAX && chain < MAX_CHAIN {
-                if i - cand <= WINDOW {
-                    let max_len = (data.len() - i).min(MAX_MATCH);
-                    let mut l = 0;
-                    while l < max_len && data[cand + l] == data[i + l] {
-                        l += 1;
-                    }
-                    if l > best_len {
-                        best_len = l;
-                        best_dist = i - cand;
-                        if l >= MAX_MATCH {
-                            break;
-                        }
-                    }
-                } else {
-                    break;
-                }
-                cand = prev[cand];
-                chain += 1;
-            }
-            // Insert current position into the chain.
-            prev[i] = head[h];
-            head[h] = i;
+/// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
+/// `max` (both ranges must hold `max` bytes): 8 bytes per step, then a
+/// byte loop for the tail.
+#[inline]
+fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
+    let (x, y) = (&data[a..a + max], &data[b..b + max]);
+    let mut l = 0;
+    while l + 8 <= max {
+        let wx = u64::from_le_bytes(x[l..l + 8].try_into().expect("8-byte window"));
+        let wy = u64::from_le_bytes(y[l..l + 8].try_into().expect("8-byte window"));
+        let diff = wx ^ wy;
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
         }
-        if best_len >= MIN_MATCH {
-            tokens.push(Token::Match {
-                len: best_len as u32,
-                dist: best_dist as u32,
-            });
-            // Insert the skipped positions so later matches can find them.
-            let stop = (i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1));
-            for (j, p) in prev.iter_mut().enumerate().take(stop).skip(i + 1) {
-                let h = hash3(data, j);
-                *p = head[h];
-                head[h] = j;
-            }
-            i += best_len;
-        } else {
-            tokens.push(Token::Literal(data[i]));
-            i += 1;
-        }
+        l += 8;
     }
-    tokens
+    while l < max && x[l] == y[l] {
+        l += 1;
+    }
+    l
 }
 
 // --------------------------------------------------------------------
@@ -311,14 +349,23 @@ fn lz77(data: &[u8]) -> Vec<Token> {
 
 /// Raw DEFLATE-compress `data`.
 pub fn deflate(data: &[u8], mode: Mode) -> Vec<u8> {
+    let mut out = Vec::new();
+    deflate_into(&mut out, data, mode);
+    out
+}
+
+/// Append the raw DEFLATE stream of `data` to `out`.
+fn deflate_into(out: &mut Vec<u8>, data: &[u8], mode: Mode) {
     match mode {
-        Mode::Stored => deflate_stored(data),
-        Mode::Fixed => deflate_fixed(data),
+        Mode::Stored => deflate_stored(out, data),
+        Mode::Fixed => deflate_fixed(out, data),
     }
 }
 
-fn deflate_stored(data: &[u8]) -> Vec<u8> {
-    let mut w = BitWriter::new();
+fn deflate_stored(out: &mut Vec<u8>, data: &[u8]) {
+    // The output size is exact: 5 header bytes per block of up to 65535.
+    out.reserve(data.len() + 5 * data.len().div_ceil(65535).max(1));
+    let mut w = BitWriter::new(out);
     let chunks: Vec<&[u8]> = if data.is_empty() {
         vec![&[]]
     } else {
@@ -334,37 +381,84 @@ fn deflate_stored(data: &[u8]) -> Vec<u8> {
         w.out.extend_from_slice(&(!len).to_le_bytes());
         w.out.extend_from_slice(chunk);
     }
-    w.finish()
+    w.finish();
 }
 
-fn deflate_fixed(data: &[u8]) -> Vec<u8> {
-    let mut w = BitWriter::new();
+/// LZ77 + fixed Huffman in one pass. Greedy: at each position take the
+/// longest match among the newest [`MAX_CHAIN`] hash-chain candidates
+/// within [`WINDOW`] (a strictly longer match wins; 258 stops the walk),
+/// and insert every position into the chains, including those a match
+/// covers.
+///
+/// `prev` is a ring over the window, which is exact: a candidate `c`
+/// reached at position `i` has `c + WINDOW >= i`, and positions are
+/// inserted only after their own search, so `c`'s slot still holds `c`'s
+/// link when the walk reads it.
+fn deflate_fixed(out: &mut Vec<u8>, data: &[u8]) {
+    assert!(
+        data.len() < NIL as usize,
+        "input too large for u32 positions"
+    );
+    let mut w = BitWriter::new(out);
     w.bits(1, 1); // BFINAL
     w.bits(0b01, 2); // BTYPE = fixed Huffman
-    for token in lz77(data) {
-        match token {
-            Token::Literal(b) => {
-                let (code, len) = fixed_litlen_code(b as usize);
-                w.code(code, len);
-            }
-            Token::Match { len, dist } => {
-                let (sym, extra, rest) = length_symbol(len);
-                let (code, clen) = fixed_litlen_code(sym as usize);
-                w.code(code, clen);
-                if extra > 0 {
-                    w.bits(rest, extra);
+    let mut head = vec![NIL; 1 << HASH_BITS];
+    let mut prev = vec![NIL; WINDOW];
+    let mut i = 0;
+    while i < data.len() {
+        let mut best_len = 0usize;
+        let mut best_dist = 0usize;
+        if i + MIN_MATCH <= data.len() {
+            let h = hash3(data, i);
+            let max_len = (data.len() - i).min(MAX_MATCH);
+            let mut cand = head[h];
+            let mut chain = 0;
+            while cand != NIL && chain < MAX_CHAIN {
+                let c = cand as usize;
+                if i - c > WINDOW {
+                    break;
                 }
-                let (dsym, dextra, drest) = dist_symbol(dist);
-                w.code(dsym, 5); // fixed distance codes are 5 bits
-                if dextra > 0 {
-                    w.bits(drest, dextra);
+                // Only a candidate that also matches at `best_len` can be
+                // strictly longer.
+                if best_len < max_len && data[c + best_len] == data[i + best_len] {
+                    let l = match_len(data, c, i, max_len);
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = i - c;
+                        if l >= MAX_MATCH {
+                            break;
+                        }
+                    }
                 }
+                cand = prev[c & (WINDOW - 1)];
+                chain += 1;
             }
+            prev[i & (WINDOW - 1)] = head[h];
+            head[h] = i as u32;
+        }
+        if best_len >= MIN_MATCH {
+            let (lbits, lcount) = LEN_CODES[best_len];
+            let (dcode, dextra, dbase) = DIST_CODES[dist_index(best_dist)];
+            let dbits = dcode | ((best_dist as u32 - dbase) << 5);
+            // At most 13 + 18 bits: one write.
+            w.bits(lbits | (dbits << lcount), lcount + 5 + dextra);
+            // Insert the skipped positions so later matches can find them.
+            let stop = (i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1));
+            for j in i + 1..stop {
+                let h = hash3(data, j);
+                prev[j & (WINDOW - 1)] = head[h];
+                head[h] = j as u32;
+            }
+            i += best_len;
+        } else {
+            let (bits, count) = LITLEN_CODES[data[i] as usize];
+            w.bits(bits, count);
+            i += 1;
         }
     }
-    let (eob, eob_len) = fixed_litlen_code(256);
-    w.code(eob, eob_len);
-    w.finish()
+    let (eob, eob_len) = LITLEN_CODES[256];
+    w.bits(eob, eob_len);
+    w.finish();
 }
 
 /// Adler-32 checksum (RFC 1950).
@@ -385,10 +479,17 @@ pub fn adler32(data: &[u8]) -> u32 {
 
 /// zlib-wrap (RFC 1950): header + DEFLATE stream + Adler-32.
 pub fn zlib_compress(data: &[u8], mode: Mode) -> Vec<u8> {
-    let mut out = vec![0x78, 0x01]; // 32K window, fastest-compression hint
-    out.extend_from_slice(&deflate(data, mode));
-    out.extend_from_slice(&adler32(data).to_be_bytes());
+    let mut out = Vec::new();
+    zlib_compress_into(&mut out, data, mode);
     out
+}
+
+/// Append the zlib stream of `data` to `out` (a PNG appends it straight
+/// into its IDAT chunk).
+pub(crate) fn zlib_compress_into(out: &mut Vec<u8>, data: &[u8], mode: Mode) {
+    out.extend_from_slice(&[0x78, 0x01]); // 32K window, fastest-compression hint
+    deflate_into(out, data, mode);
+    out.extend_from_slice(&adler32(data).to_be_bytes());
 }
 
 // --------------------------------------------------------------------
@@ -515,9 +616,189 @@ pub fn zlib_decompress(data: &[u8]) -> Result<Vec<u8>, InflateError> {
     Ok(out)
 }
 
+/// The plain greedy encoder the streaming `deflate_fixed` replaced: a
+/// token vector from `lz77` (per-position `prev` chain, byte-at-a-time
+/// match compare), then a bit-by-bit Huffman writer over linear-scan
+/// symbol lookups. Test-only: it is the byte-for-byte reference the
+/// streaming encoder must reproduce.
+#[cfg(test)]
+mod oracle {
+    use super::{
+        fixed_litlen_code, hash3, DIST_TABLE, HASH_BITS, LENGTH_TABLE, MAX_CHAIN, MAX_MATCH,
+        MIN_MATCH, WINDOW,
+    };
+
+    struct BitWriter {
+        out: Vec<u8>,
+        bitbuf: u64,
+        nbits: u32,
+    }
+
+    impl BitWriter {
+        fn new() -> Self {
+            BitWriter {
+                out: Vec::new(),
+                bitbuf: 0,
+                nbits: 0,
+            }
+        }
+
+        /// Write `n` bits, LSB-first.
+        fn bits(&mut self, value: u32, n: u32) {
+            debug_assert!(n <= 32);
+            self.bitbuf |= (value as u64) << self.nbits;
+            self.nbits += n;
+            while self.nbits >= 8 {
+                self.out.push((self.bitbuf & 0xFF) as u8);
+                self.bitbuf >>= 8;
+                self.nbits -= 8;
+            }
+        }
+
+        /// Write a Huffman code: codes are emitted MSB-first.
+        fn code(&mut self, code: u32, len: u32) {
+            let mut rev = 0u32;
+            for i in 0..len {
+                rev |= ((code >> i) & 1) << (len - 1 - i);
+            }
+            self.bits(rev, len);
+        }
+
+        /// Pad to a byte boundary.
+        fn align(&mut self) {
+            if self.nbits > 0 {
+                self.out.push((self.bitbuf & 0xFF) as u8);
+                self.bitbuf = 0;
+                self.nbits = 0;
+            }
+        }
+
+        fn finish(mut self) -> Vec<u8> {
+            self.align();
+            self.out
+        }
+    }
+
+    pub(super) fn length_symbol(len: u32) -> (u32, u32, u32) {
+        debug_assert!((3..=258).contains(&len));
+        for i in (0..LENGTH_TABLE.len()).rev() {
+            let (sym, extra, base) = LENGTH_TABLE[i];
+            if len >= base && (len - base) < (1 << extra) || (sym == 285 && len == 258) {
+                return (sym, extra, len - base);
+            }
+        }
+        unreachable!("length {len} not in table")
+    }
+
+    pub(super) fn dist_symbol(dist: u32) -> (u32, u32, u32) {
+        debug_assert!((1..=32768).contains(&dist));
+        for i in (0..DIST_TABLE.len()).rev() {
+            let (sym, extra, base) = DIST_TABLE[i];
+            if dist >= base {
+                return (sym, extra, dist - base);
+            }
+        }
+        unreachable!("distance {dist} not in table")
+    }
+
+    /// One LZ77 token.
+    enum Token {
+        Literal(u8),
+        Match { len: u32, dist: u32 },
+    }
+
+    fn lz77(data: &[u8]) -> Vec<Token> {
+        let mut tokens = Vec::new();
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut prev = vec![usize::MAX; data.len()];
+        let mut i = 0;
+        while i < data.len() {
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            if i + MIN_MATCH <= data.len() {
+                let h = hash3(data, i);
+                let mut cand = head[h];
+                let mut chain = 0;
+                while cand != usize::MAX && chain < MAX_CHAIN {
+                    if i - cand <= WINDOW {
+                        let max_len = (data.len() - i).min(MAX_MATCH);
+                        let mut l = 0;
+                        while l < max_len && data[cand + l] == data[i + l] {
+                            l += 1;
+                        }
+                        if l > best_len {
+                            best_len = l;
+                            best_dist = i - cand;
+                            if l >= MAX_MATCH {
+                                break;
+                            }
+                        }
+                    } else {
+                        break;
+                    }
+                    cand = prev[cand];
+                    chain += 1;
+                }
+                // Insert current position into the chain.
+                prev[i] = head[h];
+                head[h] = i;
+            }
+            if best_len >= MIN_MATCH {
+                tokens.push(Token::Match {
+                    len: best_len as u32,
+                    dist: best_dist as u32,
+                });
+                // Insert the skipped positions so later matches can find them.
+                let stop = (i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1));
+                for (j, p) in prev.iter_mut().enumerate().take(stop).skip(i + 1) {
+                    let h = hash3(data, j);
+                    *p = head[h];
+                    head[h] = j;
+                }
+                i += best_len;
+            } else {
+                tokens.push(Token::Literal(data[i]));
+                i += 1;
+            }
+        }
+        tokens
+    }
+
+    pub(super) fn deflate_fixed(data: &[u8]) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        w.bits(1, 1); // BFINAL
+        w.bits(0b01, 2); // BTYPE = fixed Huffman
+        for token in lz77(data) {
+            match token {
+                Token::Literal(b) => {
+                    let (code, len) = fixed_litlen_code(b as usize);
+                    w.code(code, len);
+                }
+                Token::Match { len, dist } => {
+                    let (sym, extra, rest) = length_symbol(len);
+                    let (code, clen) = fixed_litlen_code(sym as usize);
+                    w.code(code, clen);
+                    if extra > 0 {
+                        w.bits(rest, extra);
+                    }
+                    let (dsym, dextra, drest) = dist_symbol(dist);
+                    w.code(dsym, 5); // fixed distance codes are 5 bits
+                    if dextra > 0 {
+                        w.bits(drest, dextra);
+                    }
+                }
+            }
+        }
+        let (eob, eob_len) = fixed_litlen_code(256);
+        w.code(eob, eob_len);
+        w.finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(data: &[u8], mode: Mode) {
         let comp = deflate(data, mode);
@@ -628,6 +909,20 @@ mod tests {
         assert_eq!(adler32(b"Wikipedia"), 0x11E60398);
     }
 
+    /// `(symbol, extra bits, extra value)` of a match length, read
+    /// through the compile-time tables.
+    fn length_symbol(len: u32) -> (u32, u32, u32) {
+        let (sym, extra, base) = LENGTH_TABLE[length_index(len as usize)];
+        (sym, extra, len - base)
+    }
+
+    /// `(symbol, extra bits, extra value)` of a match distance, read
+    /// through the zlib-style [`DIST_SYM`] table.
+    fn dist_symbol(dist: u32) -> (u32, u32, u32) {
+        let (sym, extra, base) = DIST_TABLE[dist_index(dist as usize)];
+        (sym, extra, dist - base)
+    }
+
     #[test]
     fn length_and_distance_symbols_cover_bounds() {
         assert_eq!(length_symbol(3), (257, 0, 0));
@@ -635,6 +930,112 @@ mod tests {
         assert_eq!(length_symbol(10), (264, 0, 0));
         assert_eq!(dist_symbol(1), (0, 0, 0));
         assert_eq!(dist_symbol(32768), (29, 13, 32768 - 24577));
+    }
+
+    #[test]
+    fn tables_agree_with_linear_scan_symbols() {
+        for len in MIN_MATCH as u32..=MAX_MATCH as u32 {
+            let (sym, extra, rest) = oracle::length_symbol(len);
+            assert_eq!(length_symbol(len), (sym, extra, rest), "length {len}");
+            let (code, clen) = fixed_litlen_code(sym as usize);
+            let want = (reverse_bits(code, clen) | (rest << clen), clen + extra);
+            assert_eq!(LEN_CODES[len as usize], want, "length {len}");
+        }
+        for dist in 1..=WINDOW as u32 {
+            let (sym, extra, rest) = oracle::dist_symbol(dist);
+            assert_eq!(dist_symbol(dist), (sym, extra, rest), "distance {dist}");
+            assert_eq!(DIST_CODES[sym as usize].0, reverse_bits(sym, 5));
+        }
+        for (s, &entry) in LITLEN_CODES.iter().enumerate() {
+            let (code, len) = fixed_litlen_code(s);
+            assert_eq!(entry, (reverse_bits(code, len), len), "symbol {s}");
+        }
+    }
+
+    /// Deterministic filler bytes for the structured oracle inputs.
+    fn xorshift_bytes(mut x: u64, n: usize) -> Vec<u8> {
+        x |= 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    fn assert_matches_oracle(data: &[u8]) {
+        let got = deflate(data, Mode::Fixed);
+        let want = oracle::deflate_fixed(data);
+        assert!(
+            got == want,
+            "streaming encoder diverged from the oracle on {} bytes \
+             ({} vs {} output bytes, first difference at byte {:?})",
+            data.len(),
+            got.len(),
+            want.len(),
+            got.iter().zip(&want).position(|(a, b)| a != b)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Arbitrary bytes, up to past one 64 KiB frame.
+        #[test]
+        fn fixed_matches_oracle_on_arbitrary_bytes(
+            data in proptest::collection::vec(any::<u8>(), 0..70_000),
+        ) {
+            assert_matches_oracle(&data);
+        }
+
+        /// Few-symbol, run-heavy input: long hash chains, many ties
+        /// between equal-length candidates.
+        #[test]
+        fn fixed_matches_oracle_on_few_symbol_runs(
+            runs in proptest::collection::vec((0u8..3, 1usize..300), 0..400),
+        ) {
+            let data: Vec<u8> = runs
+                .iter()
+                .flat_map(|&(b, n)| std::iter::repeat_n(b, n))
+                .collect();
+            assert_matches_oracle(&data);
+        }
+
+        /// Over 64 KiB of a block repeated with a period at or just
+        /// around the window size, with scattered edits: matches sit at
+        /// distance exactly 32768 and the `prev` ring wraps repeatedly.
+        #[test]
+        fn fixed_matches_oracle_across_ring_wraparound(
+            seed in any::<u64>(),
+            period in (WINDOW - 2)..(WINDOW + 3),
+            len in (64 * 1024 + 1)..110_000usize,
+            edits in proptest::collection::vec((0usize..110_000, any::<u8>()), 0..64),
+        ) {
+            let block = xorshift_bytes(seed, period);
+            let mut data: Vec<u8> = (0..len).map(|i| block[i % period]).collect();
+            for (at, b) in edits {
+                if at < len {
+                    data[at] = b;
+                }
+            }
+            assert_matches_oracle(&data);
+        }
+
+        /// Runs longer than 258 bytes between random separators: every
+        /// run emits maximal matches and stops the chain walk early.
+        #[test]
+        fn fixed_matches_oracle_on_max_length_runs(
+            runs in proptest::collection::vec((any::<u8>(), 259usize..1500, any::<u64>()), 1..16),
+        ) {
+            let mut data = Vec::new();
+            for (b, n, seed) in runs {
+                data.extend(std::iter::repeat_n(b, n));
+                data.extend(xorshift_bytes(seed, (seed % 7) as usize));
+            }
+            assert_matches_oracle(&data);
+        }
     }
 
     #[test]

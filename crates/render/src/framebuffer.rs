@@ -87,17 +87,24 @@ impl Framebuffer {
         }
     }
 
-    /// Flatten to opaque RGB8 over a background color (PNG input).
+    /// Flatten to opaque RGB8 over a background color.
     pub fn to_rgb(&self, background: Color) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.width * self.height * 3);
-        for px in &self.color {
-            if px[3] == 0 {
-                out.extend_from_slice(&[background.r, background.g, background.b]);
-            } else {
-                out.extend_from_slice(&px[..3]);
-            }
+        let mut out = vec![0u8; self.width * self.height * 3];
+        for (y, row) in out.chunks_exact_mut(self.width * 3).enumerate() {
+            self.rgb_row_into(y, background, row);
         }
         out
+    }
+
+    /// Flatten row `y` to opaque RGB8 over `background` into `out`
+    /// (`width * 3` bytes): transparent pixels take the background.
+    pub(crate) fn rgb_row_into(&self, y: usize, background: Color, out: &mut [u8]) {
+        assert_eq!(out.len(), self.width * 3, "row buffer size mismatch");
+        let bg = [background.r, background.g, background.b];
+        let row = &self.color[y * self.width..(y + 1) * self.width];
+        for (rgb, px) in out.chunks_exact_mut(3).zip(row) {
+            rgb.copy_from_slice(if px[3] == 0 { &bg } else { &px[..3] });
+        }
     }
 
     /// Count of non-transparent pixels (diagnostics and tests).

@@ -8,44 +8,69 @@ use crate::deflate::{self, Mode};
 use crate::framebuffer::Framebuffer;
 
 /// CRC-32 (ISO 3309), as required by the PNG chunk format.
-/// Table-driven, like zlib's implementation.
+/// Table-driven, eight bytes per step ("slicing-by-8").
 pub fn crc32(data: &[u8]) -> u32 {
-    crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
-}
-
-fn crc_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (n, e) in t.iter_mut().enumerate() {
-            let mut c = n as u32;
-            for _ in 0..8 {
-                let mask = (c & 1).wrapping_neg();
-                c = (c >> 1) ^ (0xEDB8_8320 & mask);
-            }
-            *e = c;
-        }
-        t
-    })
-}
-
-fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    let table = crc_table();
-    for &b in data {
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
     }
-    crc
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc ^ 0xFFFF_FFFF
 }
 
-fn chunk(out: &mut Vec<u8>, kind: &[u8; 4], payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+/// `CRC_TABLES[0]` is zlib's byte table; `CRC_TABLES[k][n]` is the CRC
+/// state of byte `n` followed by `k` zero bytes, so one step folds in
+/// eight bytes at once. Built at compile time.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut n = 0;
+    while n < 256 {
+        let mut c = n as u32;
+        let mut k = 0;
+        while k < 8 {
+            let mask = (c & 1).wrapping_neg();
+            c = (c >> 1) ^ (0xEDB8_8320 & mask);
+            k += 1;
+        }
+        t[0][n] = c;
+        n += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut n = 0;
+        while n < 256 {
+            let prev = t[k - 1][n];
+            t[k][n] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            n += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// Append one chunk: length, `kind`, the payload `write` appends in
+/// place, then the CRC of type and payload, read where they were written.
+fn chunk(out: &mut Vec<u8>, kind: &[u8; 4], write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
     out.extend_from_slice(kind);
-    out.extend_from_slice(payload);
-    let mut crc_input = Vec::with_capacity(4 + payload.len());
-    crc_input.extend_from_slice(kind);
-    crc_input.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(&crc_input).to_be_bytes());
+    write(out);
+    let len = u32::try_from(out.len() - start - 8).expect("PNG chunk payload exceeds 4 GiB");
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+    let crc = crc32(&out[start + 4..]);
+    out.extend_from_slice(&crc.to_be_bytes());
 }
 
 /// Encode 8-bit RGB pixels (`width*height*3` bytes, top row first) to a
@@ -54,29 +79,48 @@ fn chunk(out: &mut Vec<u8>, kind: &[u8; 4], payload: &[u8]) {
 pub fn encode_rgb(width: usize, height: usize, rgb: &[u8], mode: Mode) -> Vec<u8> {
     assert_eq!(rgb.len(), width * height * 3, "pixel buffer size mismatch");
     assert!(width > 0 && height > 0, "degenerate image");
+    let raw = scanlines(width, height, |y, line| {
+        line.copy_from_slice(&rgb[y * width * 3..(y + 1) * width * 3]);
+    });
+    encode_scanlines(width, height, &raw, mode)
+}
+
+/// Encode a framebuffer flattened over `background`. Each scanline is
+/// written straight from the framebuffer's RGBA pixels, with no
+/// intermediate RGB image.
+pub fn encode_framebuffer(fb: &Framebuffer, background: Color, mode: Mode) -> Vec<u8> {
+    let raw = scanlines(fb.width(), fb.height(), |y, line| {
+        fb.rgb_row_into(y, background, line);
+    });
+    encode_scanlines(fb.width(), fb.height(), &raw, mode)
+}
+
+/// The raw image stream: per scanline one filter byte (0 = None), then
+/// the row's `width * 3` RGB bytes, filled in by `row(y, line)`.
+fn scanlines(width: usize, height: usize, mut row: impl FnMut(usize, &mut [u8])) -> Vec<u8> {
+    let stride = 1 + width * 3;
+    let mut raw = vec![0u8; height * stride];
+    for (y, line) in raw.chunks_exact_mut(stride).enumerate() {
+        row(y, &mut line[1..]);
+    }
+    raw
+}
+
+/// Signature, IHDR, the zlib-compressed scanlines as one IDAT, IEND.
+fn encode_scanlines(width: usize, height: usize, raw: &[u8], mode: Mode) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&[0x89, b'P', b'N', b'G', 0x0D, 0x0A, 0x1A, 0x0A]);
 
-    let mut ihdr = Vec::with_capacity(13);
-    ihdr.extend_from_slice(&(width as u32).to_be_bytes());
-    ihdr.extend_from_slice(&(height as u32).to_be_bytes());
-    ihdr.extend_from_slice(&[8, 2, 0, 0, 0]); // 8-bit, RGB, deflate, adaptive, no interlace
-    chunk(&mut out, b"IHDR", &ihdr);
-
-    // Raw image stream: one filter byte (0 = None) per scanline.
-    let mut raw = Vec::with_capacity(height * (1 + width * 3));
-    for row in rgb.chunks(width * 3) {
-        raw.push(0);
-        raw.extend_from_slice(row);
-    }
-    chunk(&mut out, b"IDAT", &deflate::zlib_compress(&raw, mode));
-    chunk(&mut out, b"IEND", &[]);
+    chunk(&mut out, b"IHDR", |ihdr| {
+        ihdr.extend_from_slice(&(width as u32).to_be_bytes());
+        ihdr.extend_from_slice(&(height as u32).to_be_bytes());
+        ihdr.extend_from_slice(&[8, 2, 0, 0, 0]); // 8-bit, RGB, deflate, adaptive, no interlace
+    });
+    chunk(&mut out, b"IDAT", |idat| {
+        deflate::zlib_compress_into(idat, raw, mode)
+    });
+    chunk(&mut out, b"IEND", |_| {});
     out
-}
-
-/// Encode a framebuffer flattened over `background`.
-pub fn encode_framebuffer(fb: &Framebuffer, background: Color, mode: Mode) -> Vec<u8> {
-    encode_rgb(fb.width(), fb.height(), &fb.to_rgb(background), mode)
 }
 
 /// PNG decode errors.
@@ -167,6 +211,30 @@ mod tests {
         // The canonical test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Bit-at-a-time CRC-32: the definition the sliced tables implement.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_definition_at_every_length_and_offset() {
+        let data: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for end in start..data.len() {
+                assert_eq!(crc32(&data[start..end]), crc32_bitwise(&data[start..end]));
+            }
+        }
     }
 
     #[test]
